@@ -5,18 +5,22 @@ solution "naturally extend[s] to handle categorical data with more than 2
 categories", measuring debiased error against ground truth, and pins the
 performance contract of the unified window engine: the vectorized
 categorical path (batched residue placement + one-argsort record
-extension) must beat the scalar reference loops (one draw per group
-residue, one draw per synthetic record) by at least 5x at SIPP scale
-(``n = 23374``, ``q = 3``, ``k = 3``).  The speedup is emitted as a
+extension) must beat the scalar reference loops of
+``tests/oracles/window.py`` (one draw per group residue, one draw per
+synthetic record) by at least 5x at SIPP scale (``n = 23374``, ``q = 3``,
+``k = 3``).  The speedup is emitted as a
 structured ``BENCH_*.json`` metric gated by ``check_regression.py``
 against ``benchmarks/baselines/``.
 """
 
+import contextlib
+import math
 import time
 
 import numpy as np
 import pytest
 
+from oracles.window import reference_loops
 from repro.core.categorical_window import CategoricalWindowSynthesizer
 from repro.data.categorical import employment_status_panel
 from repro.experiments.config import bench_reps
@@ -77,39 +81,44 @@ def test_categorical_extension_accuracy(benchmark, figure_report):
 
 @pytest.mark.figure("categorical-engine")
 def test_categorical_engine_speedup(benchmark, figure_report):
-    """Vectorized vs scalar categorical engine at SIPP scale (ratio gate)."""
+    """Vectorized engine vs the scalar reference loops at SIPP scale (ratio gate)."""
     n, horizon, window, alphabet, rho = 23374, 12, 3, 3, 0.01
     panel = employment_status_panel(n, horizon, alphabet=alphabet, seed=22)
 
-    def run_once(engine, seed):
+    def loops(engine):
+        return reference_loops() if engine == "scalar" else contextlib.nullcontext()
+
+    def run_once(engine, seed, rho=rho):
         synthesizer = CategoricalWindowSynthesizer(
-            horizon, window, alphabet, rho,
-            seed=seed, noise_method="vectorized", engine=engine,
+            horizon, window, alphabet, rho, seed=seed, noise_method="vectorized",
         )
-        start = time.perf_counter()
-        synthesizer.run(panel)
-        return time.perf_counter() - start
+        with loops(engine):
+            start = time.perf_counter()
+            release = synthesizer.run(panel)
+            return time.perf_counter() - start, release
 
     def experiment():
         rounds = 3
-        vectorized = min(run_once("vectorized", 30 + i) for i in range(rounds))
-        scalar = min(run_once("scalar", 40 + i) for i in range(rounds))
+        vectorized = min(run_once("vectorized", 30 + i)[0] for i in range(rounds))
+        scalar = min(run_once("scalar", 40 + i)[0] for i in range(rounds))
         return vectorized, scalar
 
     vectorized, scalar = benchmark.pedantic(experiment, rounds=1, iterations=1)
     speedup = scalar / vectorized
 
-    # Both engines must release identical histograms in noiseless mode —
+    # Both paths must release identical histograms in noiseless mode —
     # the ratio compares two implementations of the *same* algorithm.
-    # (One definition of the anchor, shared with the `categorical` figure.)
-    from repro.experiments.categorical import _engines_agree_noiseless
-
-    engines_agree = _engines_agree_noiseless(panel, window, alphabet, seed=50)
+    batched = run_once("vectorized", 50, rho=math.inf)[1]
+    looped = run_once("scalar", 50, rho=math.inf)[1]
+    engines_agree = all(
+        (batched.histogram(t) == looped.histogram(t)).all()
+        for t in batched.released_times()
+    )
 
     figure_report(
         "\n".join(
             [
-                "### categorical-engine: vectorized vs scalar window engine",
+                "### categorical-engine: vectorized window engine vs scalar reference loops",
                 f"params: n={n}, T={horizon}, k={window}, q={alphabet}, rho={rho}",
                 f"scalar reference      : {scalar * 1000:8.1f} ms/run",
                 f"vectorized engine     : {vectorized * 1000:8.1f} ms/run",

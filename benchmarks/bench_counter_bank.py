@@ -1,22 +1,26 @@
 """CounterBank engine benchmarks: scalar vs vectorized across horizons.
 
-The vectorized bank's reason to exist is horizon scaling: the scalar
-engine's stage 1 costs O(T log T) Python-interpreter work per round, the
-bank does the same update as a handful of NumPy array ops plus one batched
-noise draw.  This module times full ``T``-round runs of both engines for
-``T ∈ {64, 256, 1024}`` and asserts the acceptance criterion: at
-``T = 1024`` the bank is at least 5x faster per round.
+The vectorized bank's reason to exist is horizon scaling: driving one
+scalar counter per threshold (:class:`~repro.streams.bank.FallbackBank`,
+the reference of ``tests/oracles/cumulative.py``) costs O(T log T)
+Python-interpreter work per round, the bank does the same update as a
+handful of NumPy array ops plus one batched noise draw.  This module times
+full ``T``-round runs of both for ``T ∈ {64, 256, 1024}`` and asserts the
+acceptance criterion: at ``T = 1024`` the bank is at least 5x faster per
+round.
 
 Run explicitly (benchmarks are not collected by the tier-1 suite):
 
     PYTHONPATH=src python -m pytest benchmarks/bench_counter_bank.py -v
 """
 
+import contextlib
 import time
 
 import numpy as np
 import pytest
 
+from oracles.cumulative import scalar_counters
 from repro.core.budget import allocate_budget
 from repro.core.cumulative import CumulativeSynthesizer
 from repro.data.generators import iid_bernoulli
@@ -124,18 +128,19 @@ class TestBenchmarkHarness:
 class TestSynthesizerEndToEnd:
     def test_long_horizon_synthesizer_engines(self, figure_report):
         # Whole-pipeline check (stage 1 + monotonize + record store): the
-        # bank engine must also win end to end, not only in isolation.
+        # bank engine must also win end to end against the per-threshold
+        # scalar reference, not only in isolation.
         horizon, n = 256, 2000
         panel = iid_bernoulli(n, horizon, 0.3, seed=3)
         timings = {}
         for engine in ("vectorized", "scalar"):
-            synth = CumulativeSynthesizer(
-                horizon=horizon,
-                rho=0.5,
-                seed=4,
-                engine=engine,
-                noise_method="vectorized",
-            )
+            with scalar_counters() if engine == "scalar" else contextlib.nullcontext():
+                synth = CumulativeSynthesizer(
+                    horizon=horizon,
+                    rho=0.5,
+                    seed=4,
+                    noise_method="vectorized",
+                )
             start = time.perf_counter()
             synth.run(panel)
             timings[engine] = time.perf_counter() - start

@@ -12,6 +12,10 @@ written as **structured JSON** to ``benchmarks/reports/BENCH_<test>.json``
 archive every report and ``benchmarks/check_regression.py`` can gate the
 numeric metrics against the committed baselines in ``benchmarks/baselines/``.
 
+The reference implementations that speedup gates time the product paths
+against live with the tests (``tests/oracles``); ``pytest_configure``
+puts ``tests/`` on ``sys.path`` so benchmarks can import them.
+
 Report schema::
 
     {
@@ -25,12 +29,15 @@ Report schema::
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 _REPORTS: list[tuple[str, str]] = []
 _REPORT_DIR = Path(__file__).parent / "reports"
+#: Holds ``oracles``, the reference loops the speedup gates time against.
+_TESTS_DIR = Path(__file__).resolve().parent.parent / "tests"
 
 
 def peak_rss_mb() -> float:
@@ -101,3 +108,5 @@ def pytest_configure(config):
     config.addinivalue_line(
         "markers", "figure(id): benchmark regenerating one paper figure"
     )
+    if str(_TESTS_DIR) not in sys.path:
+        sys.path.insert(0, str(_TESTS_DIR))

@@ -27,11 +27,11 @@ the ``q = 2`` special case) — see
 debiasing, privacy accounting, and the two-phase round structure are
 unchanged.
 
-The ``engine`` knob selects the vectorized path (batched residue
-placement, one-argsort record extension; default) or the scalar reference
-loops (one draw per group residue, one draw per synthetic record);
-``benchmarks/bench_categorical_extension.py`` pins the speedup and both
-engines produce identical released histograms in noiseless mode.
+Residues are placed with one batched key draw per round and records are
+extended with one argsort; ``benchmarks/bench_categorical_extension.py``
+pins the speedup over the per-group / per-record reference loops in
+``tests/oracles/window.py``, which release identical histograms in
+noiseless mode.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from repro.exceptions import (
 from repro.queries.categorical import CategoricalWindowQuery
 from repro.queries.plan import query_signature
 from repro.rng import SeedLike
+from repro.streams.registry import check_engine
 
 __all__ = [
     "CategoricalWindowSynthesizer",
@@ -69,7 +70,6 @@ def apply_categorical_correction(
     alphabet: int,
     generator: np.random.Generator,
     on_negative: str = "redistribute",
-    method: str = "vectorized",
 ) -> tuple[np.ndarray, int]:
     """Project noisy categorical counts onto the consistency constraint.
 
@@ -87,21 +87,13 @@ def apply_categorical_correction(
         Source of the residue-placement randomness.
     on_negative:
         ``"redistribute"`` (default) or ``"raise"``.
-    method:
-        ``"vectorized"`` (batched residue draw) or ``"scalar"``
-        (per-group reference loop).
 
     Returns
     -------
     ``(new_counts, n_negative_events)``.
     """
     return apply_group_correction(
-        previous_counts,
-        noisy_counts,
-        alphabet,
-        generator,
-        on_negative=on_negative,
-        method=method,
+        previous_counts, noisy_counts, alphabet, generator, on_negative=on_negative
     )
 
 
@@ -334,9 +326,9 @@ class CategoricalWindowSynthesizer(WindowEngine):
 
     Parameters mirror
     :class:`~repro.core.fixed_window.FixedWindowSynthesizer` plus
-    ``alphabet`` (the number of categories ``q >= 2``) and ``engine``;
-    the binary class is the ``q = 2`` special case with a tighter
-    rounding analysis.  The full streaming surface — churn-aware
+    ``alphabet`` (the number of categories ``q >= 2``); the binary class
+    is the ``q = 2`` special case with a tighter rounding analysis.  The
+    full streaming surface — churn-aware
     :meth:`~repro.core.window_engine.WindowEngine.observe`,
     checkpointing via
     :meth:`~repro.core.window_engine.WindowEngine.state_dict` /
@@ -367,10 +359,9 @@ class CategoricalWindowSynthesizer(WindowEngine):
     noise_method:
         ``"exact"`` or ``"vectorized"`` discrete Gaussian backend.
     engine:
-        ``"vectorized"`` (batched scatter-op projection and extension,
-        default) or ``"scalar"`` (reference loops); ``None`` consults
-        ``$REPRO_ENGINE`` like the cumulative synthesizer's counter
-        engine.
+        Accepted for compatibility with configurations written before
+        the scalar engine was removed: only ``"vectorized"`` (or
+        ``None``) is legal.
     """
 
     algorithm = "categorical_window"
@@ -391,6 +382,7 @@ class CategoricalWindowSynthesizer(WindowEngine):
         noise_method: str = "exact",
         engine: str | None = None,
     ):
+        check_engine(engine)
         super().__init__(
             horizon,
             window,
@@ -402,7 +394,6 @@ class CategoricalWindowSynthesizer(WindowEngine):
             sensitivity=sensitivity,
             seed=seed,
             noise_method=noise_method,
-            engine=engine,
         )
 
     def _make_release(self) -> CategoricalWindowRelease:
@@ -428,11 +419,10 @@ class CategoricalWindowSynthesizer(WindowEngine):
         dict
             The shared engine keys
             (:meth:`~repro.core.window_engine.WindowEngine.config_dict`)
-            plus ``alphabet`` and ``engine``.
+            plus ``alphabet``.
         """
         config = super().config_dict()
         config["alphabet"] = self.alphabet
-        config["engine"] = self.engine
         return config
 
     @classmethod
@@ -453,7 +443,9 @@ class CategoricalWindowSynthesizer(WindowEngine):
         Raises
         ------
         repro.exceptions.SerializationError
-            If required keys are missing or fail constructor validation.
+            If required keys are missing, fail constructor validation, or
+            name the removed scalar engine.  An ``"engine": "vectorized"``
+            entry (written by older releases) is accepted and ignored.
         """
         try:
             return cls(
@@ -465,7 +457,7 @@ class CategoricalWindowSynthesizer(WindowEngine):
                 on_negative=str(config["on_negative"]),
                 sensitivity=float(config["sensitivity"]),
                 noise_method=str(config["noise_method"]),
-                engine=str(config["engine"]),
+                engine=config.get("engine"),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise SerializationError(f"invalid categorical-window config: {exc}") from exc

@@ -66,6 +66,7 @@ from repro.rng import (
     restore_generator_state,
     spawn,
 )
+from repro.streams.registry import check_engine
 from repro.types import AttributeFrame, as_frame
 
 __all__ = ["AttributeSpec", "MultiAttributeSynthesizer", "MultiAttributeRelease"]
@@ -437,8 +438,9 @@ class MultiAttributeSynthesizer:
     noise_method:
         ``"exact"`` or ``"vectorized"`` discrete Gaussian backend.
     engine:
-        Projection/extension engine for categorical attributes
-        (``None`` consults ``$REPRO_ENGINE``).
+        Accepted for compatibility with configurations written before
+        the scalar engine was removed: only ``"vectorized"`` (or
+        ``None``) is legal.
     """
 
     #: Tag stored in checkpoint configs.
@@ -468,6 +470,7 @@ class MultiAttributeSynthesizer:
             )
         if not rho > 0:
             raise ConfigurationError(f"rho must be positive, got {rho}")
+        check_engine(engine)
         if not cross_weight > 0:
             raise ConfigurationError(
                 f"cross_weight must be positive, got {cross_weight}"
@@ -560,13 +563,8 @@ class MultiAttributeSynthesizer:
                     sensitivity=self.sensitivity,
                     seed=spec_seed,
                     noise_method=self.noise_method,
-                    engine=engine,
                 )
             self._engines.append(built)
-        #: Resolved projection engine (reported in checkpoint configs).
-        self.engine = next(
-            (e.engine for e in self._engines if e.alphabet != 2), "vectorized"
-        )
 
         self._cross_generators: dict[tuple[str, str], np.random.Generator] = {}
         self._cross_mechanisms: dict[tuple[str, str], GaussianHistogramMechanism] = {}
@@ -878,12 +876,17 @@ class MultiAttributeSynthesizer:
             "on_negative": self.on_negative,
             "sensitivity": self.sensitivity,
             "noise_method": self.noise_method,
-            "engine": self.engine,
         }
 
     @classmethod
     def from_config(cls, config: dict) -> "MultiAttributeSynthesizer":
-        """Rebuild a fresh synthesizer from :meth:`config_dict` output."""
+        """Rebuild a fresh synthesizer from :meth:`config_dict` output.
+
+        Raises :class:`~repro.exceptions.SerializationError` on missing
+        keys, failed constructor validation, or a config naming the
+        removed scalar engine; an ``"engine": "vectorized"`` entry
+        (written by older releases) is accepted and ignored.
+        """
         try:
             return cls(
                 int(config["horizon"]),
@@ -897,7 +900,7 @@ class MultiAttributeSynthesizer:
                 on_negative=str(config["on_negative"]),
                 sensitivity=float(config["sensitivity"]),
                 noise_method=str(config["noise_method"]),
-                engine=str(config["engine"]),
+                engine=config.get("engine"),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise SerializationError(f"invalid multi-attribute config: {exc}") from exc

@@ -15,7 +15,7 @@ of the synthesizers' incremental ``observe`` step:
   versioned bundle, and :meth:`restore` resumes from it with
   byte-identical future releases, noise included;
 * **a uniform round API** — :meth:`observe` works identically for
-  every algorithm and both counter engines, and per-round releases are
+  every algorithm and every counter bank, and per-round releases are
   bit-exact (noiseless mode) with the equivalent offline ``run()`` on
   the concatenated panel.
 
@@ -110,7 +110,7 @@ class StreamingSynthesizer:
             Seed for all randomness (noise and synthetic records).
         **kwargs:
             Forwarded to :class:`~repro.core.cumulative.CumulativeSynthesizer`
-            (``counter``, ``budget``, ``engine``, ``noise_method``, ...).
+            (``counter``, ``budget``, ``noise_method``, ...).
 
         Returns
         -------
@@ -180,7 +180,7 @@ class StreamingSynthesizer:
         **kwargs:
             Forwarded to
             :class:`~repro.core.categorical_window.CategoricalWindowSynthesizer`
-            (``engine``, ``n_pad``, ``noise_method``, ...).
+            (``n_pad``, ``noise_method``, ...).
 
         Returns
         -------

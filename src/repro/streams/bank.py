@@ -94,8 +94,9 @@ class CounterBank(abc.ABC):
     seeds:
         Either a single :data:`~repro.rng.SeedLike` (spawned into per-row
         children) or an explicit length-``T`` sequence of per-row seeds —
-        the synthesizer passes its spawned counter seeds so that the
-        fallback path reproduces the scalar engine exactly.
+        the synthesizer passes its spawned counter seeds, so a
+        :class:`FallbackBank` row draws exactly the noise of a standalone
+        counter built from that seed.
     noise_method:
         ``"exact"`` or ``"vectorized"`` noise backend, forwarded to the
         batched samplers (and to wrapped counters in the fallback).
@@ -453,7 +454,7 @@ class CounterBank(abc.ABC):
 
         Mirrors the scalar counters' Fraction arithmetic
         (``Fraction(num) / Fraction(2 rho).limit_denominator(10**9)``) so
-        exact-mode noise has the same distribution as the scalar engine.
+        exact-mode noise has the same distribution as the scalar counters.
         ``rho_rows`` defaults to the full per-threshold budget vector;
         :meth:`extend_rows` passes just the appended rows' budgets.
         """
@@ -856,11 +857,13 @@ class SqrtFactorizationBank(CounterBank):
 class FallbackBank(CounterBank):
     """Adapter running any registered scalar counter behind the bank API.
 
-    Keeps every counter name usable with ``engine="vectorized"``: row ``b``
-    is a lazily-created scalar :class:`~repro.streams.base.StreamCounter`
-    seeded from the bank's per-row seed stream, so the outputs are
-    *identical* to the scalar engine under the same seeds — the per-round
-    cost stays scalar, which is what the native banks above eliminate.
+    The bank for every counter without a native bank (``honaker``,
+    ``block``, third-party counters) and for any ``counter_kwargs``: row
+    ``b`` is a scalar :class:`~repro.streams.base.StreamCounter` created
+    when threshold ``b`` activates and seeded from the bank's per-row seed
+    stream, so its outputs are *identical* to driving one standalone
+    counter per threshold under the same seeds.  The per-round cost stays
+    scalar, which is what the native banks above eliminate.
     """
 
     def __init__(

@@ -1,10 +1,12 @@
 """Tests for the replication harness."""
 
+import contextlib
 import math
 
 import numpy as np
 import pytest
 
+from oracles.cumulative import scalar_counters
 from repro.analysis.replication import replicate_synthesizer
 from repro.core.cumulative import CumulativeSynthesizer
 from repro.core.fixed_window import FixedWindowSynthesizer
@@ -162,14 +164,15 @@ class TestReplicateSynthesizer:
             )
 
 
-def cumulative_factory(panel, rho=math.inf, engine="vectorized", counter="binary_tree"):
-    # engine is pinned (not env-resolved): the batched-strategy tests need
-    # the native bank even when the suite runs under REPRO_ENGINE=scalar.
+def cumulative_factory(panel, rho=math.inf, counter="binary_tree", reference=False):
+    # reference=True builds on the per-threshold scalar counters
+    # (oracles.cumulative): a FallbackBank even for native-bank counters.
     def factory(generator):
-        return CumulativeSynthesizer(
-            horizon=panel.horizon, rho=rho, counter=counter, seed=generator,
-            engine=engine, noise_method="vectorized",
-        )
+        with scalar_counters() if reference else contextlib.nullcontext():
+            return CumulativeSynthesizer(
+                horizon=panel.horizon, rho=rho, counter=counter, seed=generator,
+                noise_method="vectorized",
+            )
 
     return factory
 
@@ -286,9 +289,11 @@ class TestStrategies:
             )
 
     def test_explicit_batched_rejects_scalar_engine(self, small_markov_panel):
+        # Eligibility inspects the synthesizer's actual bank, not the
+        # counter name: scalar counters have no rep axis.
         with pytest.raises(ConfigurationError):
             replicate_synthesizer(
-                cumulative_factory(small_markov_panel, engine="scalar"),
+                cumulative_factory(small_markov_panel, reference=True),
                 small_markov_panel,
                 [HammingAtLeast(1)],
                 [4],
@@ -384,12 +389,11 @@ class TestStrategySoftening:
         from repro.analysis.replication import cumulative_strategy
 
         monkeypatch.delenv("REPRO_REPLICATION_STRATEGY", raising=False)
-        assert cumulative_strategy("batched", "vectorized", "binary_tree") == "batched"
-        assert cumulative_strategy("batched", "scalar", "binary_tree") == "auto"
-        assert cumulative_strategy("batched", "vectorized", "honaker") == "auto"
-        assert cumulative_strategy("serial", "scalar", "honaker") == "serial"
+        assert cumulative_strategy("batched", "binary_tree") == "batched"
+        assert cumulative_strategy("batched", "honaker") == "auto"
+        assert cumulative_strategy("serial", "honaker") == "serial"
         monkeypatch.setenv("REPRO_REPLICATION_STRATEGY", "batched")
-        assert cumulative_strategy(None, "vectorized", "honaker") == "auto"
+        assert cumulative_strategy(None, "honaker") == "auto"
 
     def test_window_experiment_runs_under_batched_env(
         self, small_markov_panel, monkeypatch

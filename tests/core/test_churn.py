@@ -2,19 +2,22 @@
 
 The contract under test (see ``docs/source/dynamic-populations.rst``):
 
-* zero-churn runs are **bit-exact** with the fixed-population path on
-  both engines and both synthesizers, noise included;
+* zero-churn runs are **bit-exact** with the fixed-population path for
+  both synthesizers (and the per-threshold reference counters of
+  ``tests/oracles``), noise included;
 * noiseless churned releases equal the zero-filled ground truth at every
   threshold/bin except the (public) population column;
 * lifespans are enforced — exits are permanent, re-entry is rejected;
 * checkpoints taken mid-churn restore byte-identically.
 """
 
+import contextlib
 import math
 
 import numpy as np
 import pytest
 
+from oracles.cumulative import scalar_counters
 from repro.core.cumulative import CumulativeSynthesizer
 from repro.core.fixed_window import FixedWindowSynthesizer
 from repro.core.monotonize import is_monotone_table
@@ -132,10 +135,16 @@ class TestDynamicPanel:
         assert a.churned
 
 
+def _counters(engine):
+    """The product banks, or ("scalar") the per-threshold reference counters."""
+    return scalar_counters() if engine == "scalar" else contextlib.nullcontext()
+
+
 class TestCumulativeChurn:
     @pytest.mark.parametrize("engine", ["vectorized", "scalar"])
     def test_noiseless_matches_zero_filled_truth(self, churned_panel, engine):
-        synth = CumulativeSynthesizer(10, math.inf, seed=0, engine=engine)
+        with _counters(engine):
+            synth = CumulativeSynthesizer(10, math.inf, seed=0)
         release = synth.run(churned_panel)
         full = churned_panel.as_longitudinal()
         entry = churned_panel.entry_round
@@ -150,8 +159,9 @@ class TestCumulativeChurn:
     def test_zero_churn_bit_exact_with_static_path_under_noise(self, engine):
         static = iid_bernoulli(50, 8, 0.35, seed=4)
         dynamic = apply_churn(static, 0.0, 0.0, seed=0)
-        a = CumulativeSynthesizer(8, 0.4, seed=9, engine=engine)
-        b = CumulativeSynthesizer(8, 0.4, seed=9, engine=engine)
+        with _counters(engine):
+            a = CumulativeSynthesizer(8, 0.4, seed=9)
+            b = CumulativeSynthesizer(8, 0.4, seed=9)
         release_a = a.run(static)
         release_b = b.run(dynamic)
         assert (release_a.threshold_table() == release_b.threshold_table()).all()
@@ -228,13 +238,15 @@ class TestCumulativeChurn:
 
     @pytest.mark.parametrize("engine", ["vectorized", "scalar"])
     def test_checkpoint_restore_mid_churn_byte_identity(self, churned_panel, engine):
-        uninterrupted = CumulativeSynthesizer(10, 0.4, seed=3, engine=engine)
-        paused = CumulativeSynthesizer(10, 0.4, seed=3, engine=engine)
+        with _counters(engine):
+            uninterrupted = CumulativeSynthesizer(10, 0.4, seed=3)
+            paused = CumulativeSynthesizer(10, 0.4, seed=3)
         events = list(churned_panel.rounds())
         for column, entrants, exits in events[:6]:
             uninterrupted.observe(column, entrants=entrants, exits=exits)
             paused.observe(column, entrants=entrants, exits=exits)
-        resumed = CumulativeSynthesizer.from_config(paused.config_dict())
+        with _counters(engine):
+            resumed = CumulativeSynthesizer.from_config(paused.config_dict())
         resumed.load_state(paused.state_dict())
         for column, entrants, exits in events[6:]:
             uninterrupted.observe(column, entrants=entrants, exits=exits)

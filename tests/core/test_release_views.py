@@ -45,21 +45,6 @@ class TestDefensiveCopies:
 
 
 class TestCounterKwargsPlumbing:
-    def test_block_size_reaches_counters(self, small_markov_panel):
-        synth = CumulativeSynthesizer(
-            horizon=small_markov_panel.horizon,
-            rho=0.1,
-            counter="block",
-            counter_kwargs={"block_size": 2},
-            seed=3,
-            engine="scalar",
-            noise_method="vectorized",
-        )
-        synth.run(small_markov_panel)
-        assert synth._counters  # scalar engine materializes the counters
-        assert all(c.block_size == 2 for c in synth._counters.values())
-        assert synth.check_invariants()
-
     def test_block_size_reaches_bank_counters(self, small_markov_panel):
         # counter_kwargs route through the fallback bank's wrapped counters.
         synth = CumulativeSynthesizer(
@@ -68,7 +53,6 @@ class TestCounterKwargsPlumbing:
             counter="block",
             counter_kwargs={"block_size": 2},
             seed=3,
-            engine="vectorized",
             noise_method="vectorized",
         )
         synth.run(small_markov_panel)

@@ -6,8 +6,10 @@ The contract of the PR that introduced :mod:`repro.core.window_engine`:
   synthesizer at ``alphabet=2`` is **bit-exact** with
   :class:`FixedWindowSynthesizer` (noise draws, synthetic records, and
   zCDP ledger included);
-* the vectorized and scalar categorical engines implement the same
-  algorithm (identical noiseless releases, identical assignment law);
+* the batched projection and record extension implement the same
+  algorithm as the per-group / per-record reference loops of
+  ``tests/oracles/window.py`` (identical noiseless releases, identical
+  assignment law);
 * churn (``entrants=`` / ``exits=``) works through the categorical round
   loop exactly as it does through the binary one.
 """
@@ -17,6 +19,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles.window import group_correction_loop, reference_loops
 from repro.core.categorical_window import CategoricalWindowSynthesizer
 from repro.core.consistency import (
     apply_group_correction,
@@ -32,7 +35,11 @@ from repro.core.synthetic_store import (
     _assign_within_groups,
     _choose_within_groups,
 )
-from repro.data.categorical import CategoricalDataset, categorical_markov
+from repro.data.categorical import (
+    CategoricalDataset,
+    categorical_markov,
+    employment_status_panel,
+)
 from repro.data.dataset import LongitudinalDataset
 from repro.data.generators import two_state_markov
 from repro.exceptions import ConfigurationError, ConsistencyError
@@ -65,9 +72,7 @@ class TestBinaryIsTheQ2SpecialCase:
     def test_bit_exact_under_noise(self, binary_matrix, window):
         horizon = binary_matrix.shape[1]
         binary = FixedWindowSynthesizer(horizon, window, 0.05, seed=11)
-        categorical = CategoricalWindowSynthesizer(
-            horizon, window, 2, 0.05, seed=11, engine="vectorized"
-        )
+        categorical = CategoricalWindowSynthesizer(horizon, window, 2, 0.05, seed=11)
         binary.run(LongitudinalDataset(binary_matrix))
         categorical.run(CategoricalDataset(binary_matrix, alphabet=2))
         for left, right in zip(_fingerprint(binary), _fingerprint(categorical)):
@@ -81,15 +86,13 @@ class TestBinaryIsTheQ2SpecialCase:
     def test_same_padding_and_config_shape(self, binary_matrix):
         horizon = binary_matrix.shape[1]
         binary = FixedWindowSynthesizer(horizon, 3, 0.05, seed=1)
-        categorical = CategoricalWindowSynthesizer(
-            horizon, 3, 2, 0.05, seed=1, engine="vectorized"
-        )
+        categorical = CategoricalWindowSynthesizer(horizon, 3, 2, 0.05, seed=1)
         assert binary.padding.n_pad == categorical.padding.n_pad
         assert binary.config_dict()["algorithm"] == "fixed_window"
         config = categorical.config_dict()
         assert config["algorithm"] == "categorical_window"
         assert config["alphabet"] == 2
-        assert config["engine"] == "vectorized"
+        assert "engine" not in config
 
     def test_q2_release_keeps_the_categorical_contract(self, binary_matrix):
         # The shared store hands q = 2 panels back as binary datasets;
@@ -104,43 +107,46 @@ class TestBinaryIsTheQ2SpecialCase:
         wide = CategoryAtLeastM(3, 2, category=1, m=1)
         assert np.isfinite(release.answer(wide, horizon, debias=False))
 
-    def test_binary_ignores_repro_engine_env(self, binary_matrix, monkeypatch):
-        # The binary specialization pins its bit-exact vectorized path.
-        monkeypatch.setenv("REPRO_ENGINE", "scalar")
-        horizon = binary_matrix.shape[1]
-        synth = FixedWindowSynthesizer(horizon, 2, 0.05, seed=5)
-        assert synth.engine == "vectorized"
-        categorical = CategoricalWindowSynthesizer(horizon, 2, 3, 0.05, seed=5)
-        assert categorical.engine == "scalar"
+
+def _run_categorical(panel, window, rho, seed, engine, **kwargs):
+    """Run the product synthesizer, or ("scalar") the reference loops."""
+    synth = CategoricalWindowSynthesizer(
+        panel.horizon, window, panel.alphabet, rho, seed=seed, **kwargs
+    )
+    if engine == "scalar":
+        with reference_loops():
+            return synth.run(panel)
+    return synth.run(panel)
 
 
 class TestEngineEquivalence:
-    def test_noiseless_releases_identical(self, q3_panel):
-        releases = [
-            CategoricalWindowSynthesizer(
-                q3_panel.horizon, 2, 3, math.inf, seed=7, engine=engine
-            ).run(q3_panel)
-            for engine in ("vectorized", "scalar")
-        ]
-        first, second = releases
-        assert first.released_times() == second.released_times()
-        for t in first.released_times():
-            assert (first.histogram(t) == second.histogram(t)).all()
+    def test_noiseless_releases_identical(self):
+        # The `categorical` figure's workload (employment status, k = 3):
+        # the batched path and the reference loops release identical
+        # noiseless histograms at every alphabet the figure runs.
+        for q in (3, 4):
+            panel = employment_status_panel(1500, 8, alphabet=q, seed=q)
+            batched = _run_categorical(panel, 3, math.inf, 7, "vectorized")
+            looped = _run_categorical(panel, 3, math.inf, 7, "scalar")
+            assert batched.released_times() == looped.released_times()
+            for t in batched.released_times():
+                assert (batched.histogram(t) == looped.histogram(t)).all()
 
     @pytest.mark.parametrize("engine", ["vectorized", "scalar"])
     def test_census_matches_histograms_under_noise(self, q3_panel, engine):
-        synth = CategoricalWindowSynthesizer(
-            q3_panel.horizon, 2, 3, 0.2, seed=8, engine=engine,
-            noise_method="vectorized",
+        release = _run_categorical(
+            q3_panel, 2, 0.2, 8, engine, noise_method="vectorized"
         )
-        release = synth.run(q3_panel)
         for t in release.released_times():
             census = release.synthetic_data(t).suffix_histogram(t, 2)
             assert (census == release.histogram(t)).all()
 
     def test_invalid_engine_rejected(self):
-        with pytest.raises(ConfigurationError):
-            CategoricalWindowSynthesizer(6, 2, 3, 0.1, engine="sclar")
+        # "vectorized" is the one legal value, kept for old call sites.
+        CategoricalWindowSynthesizer(6, 2, 3, 0.1, engine="vectorized")
+        for engine in ("scalar", "sclar"):
+            with pytest.raises(ConfigurationError, match="scalar engine was removed"):
+                CategoricalWindowSynthesizer(6, 2, 3, 0.1, engine=engine)
 
 
 class TestAssignWithinGroups:
@@ -204,12 +210,11 @@ class TestGroupCorrection:
 
     @pytest.mark.parametrize("method", ["vectorized", "scalar"])
     def test_group_sums_preserved(self, method):
+        correct = apply_group_correction if method == "vectorized" else group_correction_loop
         generator = as_generator(2)
         previous = generator.integers(0, 25, size=27).astype(np.int64)
         noisy = previous + generator.integers(-6, 7, size=27)
-        corrected, _ = apply_group_correction(
-            previous, noisy, 3, generator, method=method
-        )
+        corrected, _ = correct(previous, noisy, 3, generator)
         assert check_group_consistency(previous, corrected, 3)
 
     def test_vectorized_residue_uniform(self):
@@ -221,22 +226,10 @@ class TestGroupCorrection:
         totals = np.zeros(3)
         trials = 300
         for seed in range(trials):
-            corrected, _ = apply_group_correction(
-                previous, noisy, 3, as_generator(seed), method="vectorized"
-            )
+            corrected, _ = apply_group_correction(previous, noisy, 3, as_generator(seed))
             totals += corrected[0:3]
         expected = np.array([1, 1, 0]) + 2 / 3
         assert np.abs(totals / trials - expected).max() < 0.15
-
-    def test_invalid_method_rejected(self):
-        with pytest.raises(ConfigurationError):
-            apply_group_correction(
-                np.zeros(4, dtype=np.int64),
-                np.zeros(4, dtype=np.int64),
-                2,
-                as_generator(0),
-                method="loop",
-            )
 
     def test_binary_projection_unchanged(self):
         # The q = 2 engine path must keep using the paired correction,

@@ -1,5 +1,6 @@
 """Checkpoint round-trips: mid-stream byte-identity and bundle integrity."""
 
+import contextlib
 import io
 import json
 import math
@@ -8,7 +9,12 @@ import zipfile
 import numpy as np
 import pytest
 
+from oracles.cumulative import scalar_counters
+from repro.core.categorical_window import CategoricalWindowSynthesizer
+from repro.core.cumulative import CumulativeSynthesizer
+from repro.core.multi_attribute import MultiAttributeSynthesizer
 from repro.data import iid_bernoulli
+from repro.data.categorical import employment_status_panel
 from repro.exceptions import SerializationError
 from repro.rng import as_generator, generator_state, restore_generator_state
 from repro.serve import StreamingSynthesizer
@@ -73,14 +79,17 @@ def _compare_window(a, b):
     "counter", ["binary_tree", "simple", "sqrt_factorization", "laplace_tree", "honaker"]
 )
 def test_cumulative_checkpoint_byte_identity_under_noise(columns, engine, counter):
-    _resume_matches_uninterrupted(
-        lambda: StreamingSynthesizer.cumulative(
-            horizon=HORIZON, rho=0.02, seed=3, engine=engine, counter=counter
-        ),
-        columns,
-        cut=HORIZON // 2,
-        compare=_compare_cumulative,
-    )
+    # "scalar": every synthesizer, the restored ones included, runs on the
+    # per-threshold reference counters of tests/oracles.
+    with scalar_counters() if engine == "scalar" else contextlib.nullcontext():
+        _resume_matches_uninterrupted(
+            lambda: StreamingSynthesizer.cumulative(
+                horizon=HORIZON, rho=0.02, seed=3, counter=counter
+            ),
+            columns,
+            cut=HORIZON // 2,
+            compare=_compare_cumulative,
+        )
 
 
 @pytest.mark.parametrize("cut", [1, 2, 3, 7, HORIZON])
@@ -655,3 +664,65 @@ def test_checkpoint_file_mode_respects_umask(tmp_path, columns):
     umask = os.umask(0)
     os.umask(umask)
     assert (path.stat().st_mode & 0o777) == (0o666 & ~umask)
+
+
+def _engine_key_service(algorithm, columns):
+    """A noisy service of ``algorithm`` plus its per-round input columns."""
+    status = employment_status_panel(N, HORIZON, alphabet=3, seed=14)
+    if algorithm == "cumulative":
+        synth = CumulativeSynthesizer(HORIZON, 0.5, seed=21)
+        rounds = columns
+    elif algorithm == "categorical_window":
+        synth = CategoricalWindowSynthesizer(HORIZON, 2, 3, 0.5, seed=22)
+        rounds = list(status.columns())
+    else:
+        synth = MultiAttributeSynthesizer(
+            HORIZON, 2, 0.5, attributes=[{"name": "status", "alphabet": 3}, "poor"], seed=23
+        )
+        rounds = [
+            {"status": code, "poor": bit} for code, bit in zip(status.columns(), columns)
+        ]
+    return StreamingSynthesizer(synth), rounds
+
+
+@pytest.mark.parametrize(
+    "algorithm, edit",
+    [
+        (algorithm, edit)
+        for algorithm in ("cumulative", "categorical_window", "multi_attribute")
+        for edit in ("absent", "vectorized", "scalar")
+    ]
+    + [("cumulative", "scalar state")],
+)
+def test_engine_key_restore_fails_closed(tmp_path, columns, algorithm, edit):
+    """Configs may omit "engine" or carry "vectorized"; scalar state is refused.
+
+    Bundles written before the scalar engine was removed carry
+    ``"engine": "vectorized"`` and must restore and continue
+    byte-identically; anything naming the scalar engine fails closed with
+    :class:`SerializationError`.
+    """
+    uninterrupted, rounds = _engine_key_service(algorithm, columns)
+    cut = HORIZON // 2
+    for column in rounds[:cut]:
+        uninterrupted.observe(column)
+    synth = uninterrupted.synthesizer
+    config, state = synth.config_dict(), synth.state_dict()
+    assert "engine" not in config
+    if edit == "scalar state":
+        state["engine_state"] = {"kind": "scalar", "counters": {}}
+    elif edit != "absent":
+        config["engine"] = edit
+    path = tmp_path / "edited.ckpt"
+    write_bundle(path, kind="streaming", config=config, state=state)
+    for column in rounds[cut:]:
+        uninterrupted.observe(column)
+
+    if "scalar" in edit:
+        with pytest.raises(SerializationError, match="scalar engine was removed"):
+            StreamingSynthesizer.restore(path)
+        return
+    resumed = StreamingSynthesizer.restore(path)
+    for column in rounds[cut:]:
+        resumed.observe(column)
+    assert resumed.fingerprint() == uninterrupted.fingerprint()

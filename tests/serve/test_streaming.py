@@ -1,10 +1,12 @@
 """Streaming equivalence: online observe == offline run()."""
 
+import contextlib
 import math
 
 import numpy as np
 import pytest
 
+from oracles.cumulative import scalar_counters
 from repro import (
     AtLeastMOnes,
     CumulativeSynthesizer,
@@ -25,15 +27,19 @@ def panel():
     return iid_bernoulli(N, HORIZON, p=0.3, seed=11)
 
 
+def _counters(engine):
+    """The product banks, or ("scalar") the per-threshold reference counters."""
+    return scalar_counters() if engine == "scalar" else contextlib.nullcontext()
+
+
 @pytest.mark.parametrize("engine", ["vectorized", "scalar"])
 def test_cumulative_online_matches_offline_noiseless(panel, engine):
-    online = StreamingSynthesizer.cumulative(
-        horizon=HORIZON, rho=math.inf, seed=4, engine=engine
-    )
+    with _counters(engine):
+        online = StreamingSynthesizer.cumulative(horizon=HORIZON, rho=math.inf, seed=4)
+        offline = CumulativeSynthesizer(HORIZON, math.inf, seed=4)
     for column in panel.columns():
         release = online.observe(column)
         assert release.t == online.t
-    offline = CumulativeSynthesizer(HORIZON, math.inf, seed=4, engine=engine)
     offline.run(panel)
 
     assert np.array_equal(
@@ -71,12 +77,11 @@ def test_fixed_window_online_matches_offline_noiseless(panel):
 @pytest.mark.parametrize("engine", ["vectorized", "scalar"])
 def test_cumulative_online_matches_offline_under_noise(panel, engine):
     """Same seed, same columns => identical noisy releases (run() is the loop)."""
-    online = StreamingSynthesizer.cumulative(
-        horizon=HORIZON, rho=0.02, seed=4, engine=engine
-    )
+    with _counters(engine):
+        online = StreamingSynthesizer.cumulative(horizon=HORIZON, rho=0.02, seed=4)
+        offline = CumulativeSynthesizer(HORIZON, 0.02, seed=4)
     for column in panel.columns():
         online.observe(column)
-    offline = CumulativeSynthesizer(HORIZON, 0.02, seed=4, engine=engine)
     offline.run(panel)
     assert np.array_equal(
         online.release.threshold_table(), offline.release.threshold_table()

@@ -3,9 +3,9 @@
 Pins down the three contracts the refactor relies on:
 
 1. **Bank/scalar equivalence** — seeded noiseless runs are bit-exact
-   between ``engine="vectorized"`` and ``engine="scalar"`` for *every*
-   registered counter, and the fallback path is bit-exact even with noise
-   (same per-row seeds drive the same scalar counters).
+   between every bank and the per-threshold scalar counters it replaces
+   (``tests/oracles/cumulative.py``), for *every* registered counter;
+   ``tests/oracles/test_cumulative_oracle.py`` adds the noisy runs.
 2. **Staggered activation** — bank row ``b`` sees exactly the stream
    ``z_b^t`` for ``t = b..T``, nothing earlier.
 3. **Heterogeneous-scale sampling** — the new ``sample_columns`` /
@@ -13,17 +13,20 @@ Pins down the three contracts the refactor relies on:
    zeros for noiseless columns.
 """
 
+import contextlib
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from oracles.cumulative import scalar_counters
 from repro.core.budget import allocate_budget
 from repro.core.cumulative import CumulativeSynthesizer
 from repro.dp.discrete_gaussian import DiscreteGaussianSampler
 from repro.dp.discrete_laplace import DiscreteLaplaceSampler
 from repro.exceptions import ConfigurationError, StreamLengthError
+from repro.rng import spawn
 from repro.streams.bank import (
     BinaryTreeBank,
     CounterBank,
@@ -49,7 +52,7 @@ def _increment_table(horizon: int, seed: int, high: int = 25) -> np.ndarray:
 
 
 def _run_scalar_reference(name: str, horizon: int, rho_vec, increments) -> np.ndarray:
-    """Drive one scalar counter per threshold, mirroring the scalar engine."""
+    """Drive one scalar counter per threshold, the family a bank replaces."""
     counters = [
         make_counter(name, horizon=horizon - b + 1, rho=float(rho_vec[b - 1]), seed=b)
         for b in range(1, horizon + 1)
@@ -74,35 +77,18 @@ class TestNoiselessEquivalence:
     @pytest.mark.parametrize("name", sorted(available_counters()))
     def test_synthesizer_engines_bit_identical(self, name, small_markov_panel):
         releases = []
-        for engine in ("vectorized", "scalar"):
-            synth = CumulativeSynthesizer(
-                horizon=small_markov_panel.horizon,
-                rho=math.inf,
-                counter=name,
-                seed=7,
-                engine=engine,
-            )
+        for counters in (contextlib.nullcontext(), scalar_counters()):
+            with counters:
+                synth = CumulativeSynthesizer(
+                    horizon=small_markov_panel.horizon,
+                    rho=math.inf,
+                    counter=name,
+                    seed=7,
+                )
             releases.append(synth.run(small_markov_panel))
         a, b = releases
         assert (a.threshold_table() == b.threshold_table()).all()
         assert (a.synthetic_data().matrix == b.synthetic_data().matrix).all()
-
-    def test_fallback_engine_bit_identical_with_noise(self, small_markov_panel):
-        # No native bank for honaker: the fallback wraps the same scalar
-        # counters with the same seeds, so even noisy runs are identical.
-        releases = []
-        for engine in ("vectorized", "scalar"):
-            synth = CumulativeSynthesizer(
-                horizon=small_markov_panel.horizon,
-                rho=0.05,
-                counter="honaker",
-                seed=11,
-                engine=engine,
-                noise_method="vectorized",
-            )
-            releases.append(synth.run(small_markov_panel))
-        a, b = releases
-        assert (a.threshold_table() == b.threshold_table()).all()
 
 
 class TestStaggeredActivation:
@@ -164,8 +150,11 @@ class TestBankValidation:
             SimpleBank(4, np.full(4, 1.0), seeds=[1, 2])
 
     def test_engine_name_validated(self):
-        with pytest.raises(ConfigurationError):
-            CumulativeSynthesizer(horizon=4, rho=1.0, engine="bogus")
+        # "vectorized" is the one legal value, kept for old call sites.
+        CumulativeSynthesizer(horizon=4, rho=1.0, engine="vectorized")
+        for engine in ("scalar", "bogus"):
+            with pytest.raises(ConfigurationError, match="scalar engine was removed"):
+                CumulativeSynthesizer(horizon=4, rho=1.0, engine=engine)
 
 
 class TestBankNoise:
@@ -190,6 +179,34 @@ class TestBankNoise:
         for b in range(1, horizon + 1):
             scale = bank.error_stddev(b, horizon - b + 1)
             assert abs(final[b - 1] - truth[b - 1]) <= max(8 * scale, 1e-9)
+
+    @pytest.mark.parametrize("noise_method", ["exact", "vectorized"])
+    @pytest.mark.parametrize(
+        "name", sorted(set(available_counters()) - set(available_banks()))
+    )
+    def test_fallback_bank_is_one_standalone_counter_per_threshold(
+        self, name, noise_method
+    ):
+        # Bit for bit under noise: row b is the counter built from seed b
+        # when threshold b activates (what the removed scalar engine ran).
+        horizon = 9
+        rho_vec = allocate_budget(horizon, 0.5, "corollary_b1")
+        increments = _increment_table(horizon, seed=8)
+        bank = FallbackBank(
+            horizon, rho_vec, seeds=spawn(3, horizon), noise_method=noise_method,
+            counter=name,
+        )
+        counters = [
+            make_counter(
+                name, horizon=horizon - row, rho=float(rho_vec[row]), seed=seed,
+                noise_method=noise_method,
+            )
+            for row, seed in enumerate(spawn(3, horizon))
+        ]
+        for t in range(1, horizon + 1):
+            z = increments[t - 1, :t]
+            expected = [counter.feed(int(z_b)) for counter, z_b in zip(counters, z)]
+            assert (bank.feed(z) == expected).all()
 
     def test_error_stddev_matches_scalar_counters(self):
         horizon = 12
@@ -305,55 +322,17 @@ class TestHeterogeneousSamplers:
         assert (a == b).all()
 
 
-class TestEngineResolution:
-    def test_env_var_reaches_synthesizer_default(self, monkeypatch):
-        from repro.streams.registry import resolve_engine
-
-        monkeypatch.setenv("REPRO_ENGINE", "scalar")
-        assert resolve_engine(None) == "scalar"
-        synth = CumulativeSynthesizer(horizon=4, rho=1.0, seed=0)
-        assert synth.engine == "scalar" and synth.bank is None
-
-    def test_explicit_engine_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "scalar")
-        synth = CumulativeSynthesizer(horizon=4, rho=1.0, seed=0, engine="vectorized")
-        assert synth.engine == "vectorized" and synth.bank is not None
-
-    def test_typo_env_value_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "sclar")
-        with pytest.raises(ConfigurationError):
-            CumulativeSynthesizer(horizon=4, rho=1.0, seed=0)
-
-    def test_unset_env_defaults_to_vectorized(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        synth = CumulativeSynthesizer(horizon=4, rho=1.0, seed=0)
-        assert synth.engine == "vectorized"
-
-
 class TestSynthesizerEngineSurface:
     def test_release_view_is_cached(self):
         synth = CumulativeSynthesizer(horizon=4, rho=1.0, seed=0)
         assert synth.release is synth.release
 
     def test_bank_property(self):
-        vec = CumulativeSynthesizer(horizon=4, rho=1.0, seed=0, engine="vectorized")
-        sca = CumulativeSynthesizer(horizon=4, rho=1.0, seed=0, engine="scalar")
-        assert isinstance(vec.bank, CounterBank)
-        assert sca.bank is None
-
-    def test_ledger_identical_across_engines(self, small_markov_panel):
-        charges = []
-        for engine in ("vectorized", "scalar"):
-            synth = CumulativeSynthesizer(
-                horizon=small_markov_panel.horizon,
-                rho=0.02,
-                seed=1,
-                engine=engine,
-                noise_method="vectorized",
-            )
-            synth.run(small_markov_panel)
-            charges.append(synth.accountant.charges)
-        assert charges[0] == charges[1]
+        native = CumulativeSynthesizer(horizon=4, rho=1.0, seed=0)
+        fallback = CumulativeSynthesizer(horizon=4, rho=1.0, seed=0, counter="honaker")
+        assert isinstance(native.bank, BinaryTreeBank)
+        assert isinstance(fallback.bank, FallbackBank)
+        assert isinstance(fallback.bank, CounterBank)
 
     def test_counter_error_stddev_inactive_is_none(self):
         synth = CumulativeSynthesizer(horizon=6, rho=0.5, seed=2)
@@ -369,9 +348,10 @@ class TestSynthesizerEngineSurface:
         from repro.analysis.confidence import cumulative_answer_ci
         from repro.queries.cumulative import HammingAtLeast
 
-        synth = CumulativeSynthesizer(
-            horizon=5, rho=0.5, seed=3, engine=engine, noise_method="vectorized"
-        )
+        with scalar_counters() if engine == "scalar" else contextlib.nullcontext():
+            synth = CumulativeSynthesizer(
+                horizon=5, rho=0.5, seed=3, noise_method="vectorized"
+            )
         for _ in range(3):
             synth.observe(np.ones(20, dtype=np.int64))
         release = synth.release
